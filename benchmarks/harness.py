@@ -25,7 +25,6 @@ BENCH_FAULTS_PATH = os.path.join(REPO_ROOT, "BENCH_faults.json")
 BENCH_PARALLEL_PATH = os.path.join(REPO_ROOT, "BENCH_parallel.json")
 BENCH_OBS_PATH = os.path.join(REPO_ROOT, "BENCH_obs.json")
 BENCH_COLUMNAR_PATH = os.path.join(REPO_ROOT, "BENCH_columnar.json")
-BENCH_PROCPOOL_PATH = os.path.join(REPO_ROOT, "BENCH_procpool.json")
 BENCH_INGEST_PATH = os.path.join(REPO_ROOT, "BENCH_ingest.json")
 BENCH_SERVING_GATEWAY_PATH = os.path.join(
     REPO_ROOT, "BENCH_serving_gateway.json"
@@ -104,11 +103,6 @@ def record_obs_benchmark(experiment: str, **fields: Any) -> str:
 def record_columnar_benchmark(experiment: str, **fields: Any) -> str:
     """Append one columnar-layout measurement to ``BENCH_columnar.json``."""
     return record_cumulative_benchmark(BENCH_COLUMNAR_PATH, experiment, **fields)
-
-
-def record_procpool_benchmark(experiment: str, **fields: Any) -> str:
-    """Append one process-executor measurement to ``BENCH_procpool.json``."""
-    return record_cumulative_benchmark(BENCH_PROCPOOL_PATH, experiment, **fields)
 
 
 def record_ingest_benchmark(experiment: str, **fields: Any) -> str:

@@ -29,7 +29,6 @@ from repro.common.validation import require
 from repro.bigdataless.index import group_rows_by_cell
 from repro.cluster.storage import DistributedStore
 from repro.engine.coordinator import CoordinatorEngine
-from repro.engine.specs import GridAssignSpec
 from repro.faults.degraded import UnknownChunk, build_degraded_answer
 from repro.parallel import partition_morsels
 from repro.queries.query import AnalyticsQuery, Answer
@@ -197,19 +196,14 @@ class SegmentStatsCache:
         stored = self.store.table(self.table_name)
         faults = self.store.faults
         faulty = faults is not None and faults.active
-        assign = GridAssignSpec(
-            self.grid_columns, self._lows, self._span, self.cells_per_dim
-        )
         precomputed_cells = None
         if self.executor is not None and self.executor.parallel:
             # Cell assignment is pure compute over immutable partition
             # data; fan it out and leave reads/charges to the loop below.
-            # The spec doubles as the map function so thread and process
-            # executors run the exact same code object.
-            morsels = partition_morsels(stored.partitions, spec=assign)
+            morsels = partition_morsels(stored.partitions)
             precomputed_cells = self.executor.run(
                 morsels,
-                assign,
+                self._cell_of_rows,
                 label="canopy_directory",
                 observer=self.coordinator.observer,
             )
@@ -234,12 +228,18 @@ class SegmentStatsCache:
             cells = (
                 precomputed_cells[part_idx]
                 if precomputed_cells is not None
-                else assign(data)
+                else self._cell_of_rows(data)
             )
             keys, segments, _ = group_rows_by_cell(cells, self.cells_per_dim)
             for key, run in zip(keys, segments):
                 self._rows.setdefault(key, []).append((part_idx, run))
         self._directory_built = True
+
+    def _cell_of_rows(self, data) -> np.ndarray:
+        """Grid cell of every row: scaled into cell units, clipped to the grid."""
+        mats = data.matrix(list(self.grid_columns))
+        scaled = (mats - self._lows) / self._span * self.cells_per_dim
+        return np.clip(scaled.astype(int), 0, self.cells_per_dim - 1)
 
     def _fetch_plan(self, keys) -> Dict[int, np.ndarray]:
         """Row-fetch plan for ``keys``: partition -> row-index array.

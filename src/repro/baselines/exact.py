@@ -28,20 +28,74 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.common.accounting import CostReport
 from repro.common.errors import StorageError
 from repro.common.validation import require
+from repro.cluster.columnar import ColumnarPartition
 from repro.cluster.storage import DistributedStore
 from repro.data.tabular import Table
 from repro.engine.bdas import BDASStack
-from repro.engine.colscan import ColumnScan, scan_columns
+from repro.engine.colscan import (
+    ColumnScan,
+    aggregate_columns,
+    columnar_partial,
+    encoded_batch_masks,
+    scan_columns,
+)
 from repro.engine.mapreduce import MapReduceEngine
 from repro.engine.pruning import SCAN, SKIP, SYNOPSIS, ScanPlan, plan_scan, synopsis_partial
 from repro.engine.resources import ResourceManager
-from repro.engine.specs import BatchPartialSpec, QueryPartialSpec
 from repro.faults.degraded import UnknownChunk, build_degraded_answer
 from repro.faults.policy import FailoverPolicy
 from repro.queries.query import AnalyticsQuery, Answer
+from repro.queries.selections import batch_masks
+
+
+def batch_partial_fn(selections, aggregates):
+    """Shared batch-pass kernel: broadcast masks, per-job partials.
+
+    Returns ``multi_map_fn(partition, active=None)`` giving, for each
+    active job, the map-output pair list ``execute`` would produce.  Each
+    aggregate's decode target on encoded partitions (full decode, cached
+    scratch of its own columns, or — for the column-less Count — the
+    mask itself) is resolved once per batch, not per (job, partition).
+    See :func:`~repro.engine.colscan.partial_from_encoded` for why each
+    variant is bitwise equal to the row partial.
+    """
+    selections = tuple(selections)
+    aggregates = tuple(aggregates)
+    aggregate_cols = tuple(aggregate_columns(a) for a in aggregates)
+
+    def encoded_partial(job, partition, mask):
+        cols = aggregate_cols[job]
+        aggregate = aggregates[job]
+        if cols is None:
+            return aggregate.partial_from_mask(partition.to_table(), mask)
+        if not cols:  # column-less (Count): mask cardinality
+            return float(np.count_nonzero(mask))
+        return aggregate.partial_from_mask(partition.scratch_table(cols), mask)
+
+    def multi_map_fn(partition, active=None):
+        if active is None:
+            active = range(len(selections))
+        if isinstance(partition, ColumnarPartition):
+            # Encoded shared pass: one broadcast comparison per column
+            # over the encoded domain, then each job's late-materialized
+            # partial.
+            masks = encoded_batch_masks([selections[j] for j in active], partition)
+            return [
+                [(0, encoded_partial(j, partition, mask))]
+                for j, mask in zip(active, masks)
+            ]
+        masks = batch_masks([selections[j] for j in active], partition)
+        return [
+            [(0, aggregates[j].partial_from_mask(partition, mask))]
+            for j, mask in zip(active, masks)
+        ]
+
+    return multi_map_fn
 
 
 class ExactEngine:
@@ -239,11 +293,20 @@ class ExactEngine:
 
     def _job_fns(self, query: AnalyticsQuery):
         aggregate = query.aggregate
+        selection = query.selection
 
-        # The map kernel is a picklable spec (one code object shared by
-        # the serial, thread, and process paths — see repro.engine.specs
-        # for the encoded/row dispatch it preserves verbatim).
-        map_fn = QueryPartialSpec(query.selection, aggregate)
+        def map_fn(partition):
+            if isinstance(partition, ColumnarPartition):
+                # Encoded predicate + late materialization: bitwise equal
+                # to the row path below by colscan's contract.
+                return [(0, columnar_partial(partition, selection, aggregate))]
+            # Row path: mask + partial in fused numpy passes —
+            # partial_from_mask is documented to equal
+            # partial(partition.select(mask)) without materializing the
+            # selected rows.
+            return [
+                (0, aggregate.partial_from_mask(partition, selection.mask(partition)))
+            ]
 
         def reduce_fn(key, partials):
             return aggregate.merge(partials)
@@ -454,13 +517,7 @@ class ExactEngine:
             if all(s is None for s in scans):
                 scans = None
 
-            # The shared batch-pass kernel is a picklable spec holding
-            # the group's selections/aggregates and their precomputed
-            # column sets; its encoded/row dispatch (broadcast masks +
-            # per-job late-materialized partials) is the historical
-            # ``multi_map_fn`` closure verbatim — see
-            # :class:`repro.engine.specs.BatchPartialSpec`.
-            multi_map_fn = BatchPartialSpec(selections, aggregates)
+            multi_map_fn = batch_partial_fn(selections, aggregates)
 
             reduce_fns = [
                 (lambda key, partials, agg=aggregate: agg.merge(partials))

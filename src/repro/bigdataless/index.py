@@ -200,8 +200,8 @@ class DistributedGridIndex:
         self._require_built()
         lows = np.asarray(lows, dtype=float).ravel()
         highs = np.asarray(highs, dtype=float).ravel()
-        lo_cell = self._clip_cell(lows)
-        hi_cell = self._clip_cell(highs)
+        lo_cell = self._cell_of(lows)
+        hi_cell = self._cell_of(highs)
         keys: List[CellKey] = []
         for key in _iter_cells(lo_cell, hi_cell):
             if key in self._stats:
@@ -257,7 +257,7 @@ class DistributedGridIndex:
         self._require_built()
         require(k >= 1, "k must be >= 1")
         point = np.asarray(point, dtype=float).ravel()
-        center_cell = self._clip_cell(point)
+        center_cell = self._cell_of(point)
         cell_width = float((self._span / self.cells_per_dim).max())
         d = len(self.columns)
         max_rings = self.cells_per_dim
@@ -294,27 +294,42 @@ class DistributedGridIndex:
 
     # Internals ---------------------------------------------------------------
     def _compute_bounds(self, stored: StoredTable):
+        """Grid origin and extent over the *finite* coordinates.
+
+        NaN and ±inf coordinates are left out, so one hostile value
+        cannot make a whole axis NaN or infinitely wide; a dimension
+        with no finite value at all gets the unit extent at 0.
+        """
         lows = None
         highs = None
         for partition in stored.partitions:
             points = partition.data.matrix(self.columns)
             if points.shape[0] == 0:
                 continue
-            p_lo, p_hi = points.min(axis=0), points.max(axis=0)
+            finite = np.isfinite(points)
+            p_lo = np.where(finite, points, np.inf).min(axis=0)
+            p_hi = np.where(finite, points, -np.inf).max(axis=0)
             lows = p_lo if lows is None else np.minimum(lows, p_lo)
             highs = p_hi if highs is None else np.maximum(highs, p_hi)
         require(lows is not None, f"table {self.table_name!r} is empty")
+        empty = lows > highs
+        lows[empty] = 0.0
+        highs[empty] = 0.0
         span = highs - lows
         span[span == 0.0] = 1.0
         return lows, span
 
     def _cell_of(self, points: np.ndarray) -> np.ndarray:
-        scaled = (points - self._lows) / self._span * self.cells_per_dim
-        return np.clip(scaled.astype(int), 0, self.cells_per_dim - 1)
+        """Grid cell of every point; NaN coordinates bin into cell 0.
 
-    def _clip_cell(self, point: np.ndarray) -> np.ndarray:
-        scaled = (point - self._lows) / self._span * self.cells_per_dim
-        return np.clip(scaled.astype(int), 0, self.cells_per_dim - 1)
+        Clipping before the integer cast keeps ±inf well defined (they
+        land in the edge cells) and truncates finite values exactly as
+        casting first would.
+        """
+        scaled = (points - self._lows) / self._span * self.cells_per_dim
+        scaled = np.clip(scaled, 0, self.cells_per_dim - 1)
+        scaled[np.isnan(scaled)] = 0.0
+        return scaled.astype(int)
 
     def _cell_box_distance(self, key: CellKey, point: np.ndarray) -> float:
         cell_lo = self._lows + np.asarray(key) / self.cells_per_dim * self._span

@@ -108,7 +108,7 @@ class ReverseKNN:
             [] for _ in range(n_sectors)
         ]
         cell_width = float((self.index._span / self.index.cells_per_dim).max())
-        center_cell = self.index._clip_cell(q)
+        center_cell = self.index._cell_of(q)
         seen_cells = set()
         for ring in range(self.index.cells_per_dim + 1):
             lo = np.maximum(center_cell - ring, 0)

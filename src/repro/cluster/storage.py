@@ -55,11 +55,9 @@ class TablePartition:
     replica_nodes: List[str]
     columnar: Optional[ColumnarPartition] = None
     #: Bumped on every *base-image* swap (synchronous append/delete, or
-    #: compaction when durable ingest is on); the shared-memory partition
-    #: store keys its published segments on it so only mutated partitions
-    #: are republished to process-pool workers.  Staged delta writes do
-    #: NOT bump it — that is what keeps republish traffic bounded by the
-    #: compaction cadence instead of the write rate.
+    #: compaction when durable ingest is on) and recorded in ingest
+    #: checkpoints.  Staged delta writes do NOT bump it: only a swap
+    #: changes the base image.
     generation: int = 0
     #: Pending writes while durable ingest is enabled (a
     #: :class:`~repro.ingest.delta.DeltaPartition`); None otherwise.
@@ -302,9 +300,8 @@ class DistributedStore:
 
         This is the compaction moment: the effective base+delta view
         becomes the new base (bumping ``generation`` exactly once per
-        merge, which is what keeps shared-memory republish bounded), the
-        columnar image is re-encoded from fresh statistics, and the
-        synopsis is rebuilt.  Returns merge stats, or ``None`` if the
+        merge), the columnar image is re-encoded from fresh statistics,
+        and the synopsis is rebuilt.  Returns merge stats, or ``None`` if the
         partition was clean.
         """
         stored = self.table(name)
@@ -344,8 +341,8 @@ class DistributedStore:
 
         The caller must have detached the delta (and retracted its byte
         accounting) first.  The generation is bumped rather than
-        restored so a recovered image can never alias a shared-memory
-        segment published before the crash.
+        restored so a recovered image never reuses a generation that
+        named different base data before the crash.
         """
         old_stored = partition.stored_bytes
         partition.data = data

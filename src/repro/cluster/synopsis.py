@@ -11,10 +11,12 @@ Two properties make the synopses usable for *exact* (not approximate)
 pruning:
 
 * **Zone maps are exact.** ``minimum``/``maximum`` are the bitwise
-  ``col.min()``/``col.max()`` of the stored column, so the disjointness
-  test ``maximum < lo or minimum > hi`` against a query's bounding box
-  uses exact float comparisons — a pruned partition provably contains no
-  matching row, and skipping it leaves the answer bit-identical.
+  ``col.min()``/``col.max()`` of the stored column's non-NaN values, so
+  the disjointness test ``maximum < lo or minimum > hi`` against a
+  query's bounding box uses exact float comparisons — a pruned partition
+  provably contains no matching row (a NaN never satisfies a range
+  predicate), and skipping it leaves the answer bit-identical.  A column
+  holding NaN is flagged ``has_nan`` and never counts as covered.
 * **Sums are scan-identical.** ``total``/``ftotal``/``fsumsq`` are
   computed with the *same numpy expressions* the aggregates' partial
   paths use over the same array, so a partition *fully covered* by a
@@ -34,7 +36,7 @@ query-time scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +58,10 @@ class ColumnStats:
     (the expression ``Std``/``Variance`` partials evaluate).  For float64
     columns the two totals coincide bitwise; for integer columns they can
     round differently, so both are kept.
+
+    ``minimum``/``maximum`` ignore NaN (an all-NaN column gets
+    ``+inf``/``-inf``, disjoint from every box); ``has_nan`` records that
+    the column holds at least one NaN.
     """
 
     minimum: float
@@ -63,19 +69,37 @@ class ColumnStats:
     total: float
     ftotal: float
     fsumsq: float
+    has_nan: bool = False
 
     @classmethod
     def from_column(cls, col: np.ndarray) -> "ColumnStats":
         if col.shape[0] == 0:
             return cls(float("inf"), float("-inf"), 0.0, 0.0, 0.0)
         colf = col.astype(float)
+        minimum, maximum, has_nan = _zone(col)
         return cls(
-            minimum=float(col.min()),
-            maximum=float(col.max()),
+            minimum=minimum,
+            maximum=maximum,
             total=float(col.sum()),
             ftotal=float(colf.sum()),
             fsumsq=float((colf**2).sum()),
+            has_nan=has_nan,
         )
+
+
+def _zone(col: np.ndarray) -> Tuple[float, float, bool]:
+    """``(min, max, has_nan)`` of a non-empty column, NaN ignored.
+
+    The plain ``min`` is NaN exactly when the column holds one, so a
+    NaN-free column pays no extra pass.
+    """
+    minimum = float(col.min())
+    if minimum == minimum:
+        return minimum, float(col.max()), False
+    values = col[~np.isnan(col)]
+    if values.shape[0] == 0:
+        return float("inf"), float("-inf"), True
+    return float(values.min()), float(values.max()), True
 
 
 class PartitionSynopsis:
@@ -138,13 +162,14 @@ class PartitionSynopsis:
         Only meaningful for selections whose bounding box *is* their
         semantics (``Selection.box_is_exact``); then a covered partition
         selects all of its rows and decomposable aggregates can be
-        answered from the synopsis.
+        answered from the synopsis.  A NaN in any box column makes the
+        answer False: that row fails every range predicate.
         """
         if self.n_rows == 0:
             return True
         for name, lo, hi in zip(columns, lows, highs):
             stats = self.columns.get(name)
-            if stats is None:
+            if stats is None or stats.has_nan:
                 return False
             if stats.minimum < lo or stats.maximum > hi:
                 return False
@@ -168,12 +193,14 @@ class PartitionSynopsis:
                 columns[name] = old
                 continue
             colf = col.astype(float)
+            minimum, maximum, has_nan = _zone(piece_col)
             columns[name] = ColumnStats(
-                minimum=min(old.minimum, float(piece_col.min())),
-                maximum=max(old.maximum, float(piece_col.max())),
+                minimum=min(old.minimum, minimum),
+                maximum=max(old.maximum, maximum),
                 total=float(col.sum()),
                 ftotal=float(colf.sum()),
                 fsumsq=float((colf**2).sum()),
+                has_nan=old.has_nan or has_nan,
             )
         return PartitionSynopsis(n_rows=grown.n_rows, columns=columns)
 
@@ -233,6 +260,9 @@ def synopses_consistent(
         if set(synopsis.columns) != set(fresh.columns):
             return False
         for name, stats in fresh.columns.items():
-            if synopsis.columns[name] != stats:
+            # NaN sums (a column holding NaN) must still match themselves.
+            if not np.array_equal(
+                astuple(synopsis.columns[name]), astuple(stats), equal_nan=True
+            ):
                 return False
     return True

@@ -23,7 +23,6 @@ from repro.cluster.storage import DistributedStore, StoredTable, TablePartition
 from repro.data.tabular import Table
 from repro.engine.bdas import BDASStack
 from repro.engine.pruning import prune_row_plan
-from repro.engine.specs import RowTakeSpec
 from repro.faults.policy import FailoverPolicy
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.parallel import Morsel, ScanExecutor
@@ -234,32 +233,20 @@ class CoordinatorEngine:
             partition = self._partition(stored, part_index)
             chunks = union[part_index]
             rows_requested = sum(int(c.size) for c in chunks)
-            # The union/take kernel lives in RowTakeSpec — one picklable
-            # code object shared by the inline, thread, and process
-            # paths; TablePartition.take gathers straight from the
-            # encoded columns on columnar layouts, from the row store
-            # otherwise (mirrored by the worker-side partition wrapper).
-            spec = RowTakeSpec(tuple(chunks))
             morsels.append(
                 Morsel(
                     index=part_index,
-                    payload=(spec, partition),
+                    payload=(partition, chunks),
                     size_bytes=rows_requested * int(partition.row_bytes),
-                    spec=spec,
-                    # A dirty partition's take() gathers from the
-                    # base+delta view, which shared memory does not
-                    # cover — keep its morsel inline.
-                    partition=(
-                        None
-                        if getattr(partition, "dirty", False)
-                        else partition
-                    ),
                 )
             )
 
         def materialise(payload):
-            spec, partition = payload
-            return spec(partition)
+            partition, chunks = payload
+            all_idx = np.unique(np.concatenate(chunks))
+            # TablePartition.take gathers straight from the encoded
+            # columns on columnar layouts, from the row store otherwise.
+            return all_idx, partition.take(all_idx)
 
         if self.executor is not None:
             results = self.executor.run(

@@ -39,7 +39,6 @@ from repro.engine.resources import ResourceManager
 from repro.faults.policy import FailoverPolicy
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.parallel import Morsel, ScanExecutor, partition_morsels
-from repro.parallel.spec import BoundSpec, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.colscan import ColumnScan
@@ -351,14 +350,11 @@ class MapReduceEngine:
             # active jobs' scan columns iff every active job pushed one
             # down (a row-path job needs the full Table payload).
             # Dirty partitions (staged delta writes) carry the base+delta
-            # view and never ship spec/partition: shared-memory segments
-            # hold published base generations only.
-            dirty = bool(getattr(partition, "dirty", False))
-            shipped_columns = None
+            # view: the encoded image covers the base only.
             if (
                 scans is not None
                 and partition.columnar is not None
-                and not dirty
+                and not partition.dirty
                 and all(scans[j] is not None for j in active)
             ):
                 if full_union is not None and len(active) == n_jobs:
@@ -370,29 +366,14 @@ class MapReduceEngine:
                     columns = tuple(union)
                 payload_data = partition.columnar.project(columns)
                 size = payload_data.encoded_bytes
-                shipped_columns = columns
             else:
                 payload_data = partition.read_view()
                 size = int(partition.n_bytes)
-            payload_active = active if plans is not None else None
-            # Ship a picklable spec alongside the in-memory payload so a
-            # process executor can run this morsel out-of-process; the
-            # thread/serial paths keep using ``payload`` directly.
-            spec = None
-            if isinstance(multi_map_fn, TaskSpec) and not dirty:
-                spec = (
-                    multi_map_fn
-                    if payload_active is None
-                    else BoundSpec(multi_map_fn, (payload_active,))
-                )
             morsels.append(
                 Morsel(
                     index=index,
-                    payload=(payload_data, payload_active),
+                    payload=(payload_data, active if plans is not None else None),
                     size_bytes=size,
-                    spec=spec,
-                    partition=None if dirty else partition,
-                    columns=shipped_columns,
                 )
             )
 
@@ -496,7 +477,6 @@ class MapReduceEngine:
             stored.partitions,
             should_scan,
             columns=scan.columns if scan is not None else None,
-            spec=map_fn if isinstance(map_fn, TaskSpec) else None,
         )
         if not morsels:
             return None

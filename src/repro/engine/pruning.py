@@ -97,9 +97,10 @@ def synopsis_partial(aggregate: Aggregate, synopsis: PartitionSynopsis):
         return True, stats.total
     if kind is Mean:
         return True, (stats.total, synopsis.n_rows)
-    if kind is Min:
+    # A scan's min/max propagates NaN, which the zone map leaves out.
+    if kind is Min and not stats.has_nan:
         return True, stats.minimum
-    if kind is Max:
+    if kind is Max and not stats.has_nan:
         return True, stats.maximum
     if kind is Std or kind is Variance:
         return True, (stats.ftotal, stats.fsumsq, synopsis.n_rows)

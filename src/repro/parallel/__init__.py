@@ -1,26 +1,9 @@
 """Multicore parallel scan execution (morsel queue + deterministic merge).
 
 See :mod:`repro.parallel.executor` for the thread-safety contract and
-the byte-identity invariants (DESIGN §9), and
-:mod:`repro.parallel.procpool` for the process pool over shared-memory
-partition views that breaks the GIL ceiling (DESIGN §12).
+the byte-identity invariants (DESIGN §9).
 """
 
 from repro.parallel.executor import Morsel, ScanExecutor, partition_morsels
-from repro.parallel.procpool import (
-    ProcessScanExecutor,
-    SharedPartitionStore,
-    WorkerPartition,
-)
-from repro.parallel.spec import BoundSpec, TaskSpec
 
-__all__ = [
-    "Morsel",
-    "ScanExecutor",
-    "partition_morsels",
-    "ProcessScanExecutor",
-    "SharedPartitionStore",
-    "WorkerPartition",
-    "BoundSpec",
-    "TaskSpec",
-]
+__all__ = ["Morsel", "ScanExecutor", "partition_morsels"]

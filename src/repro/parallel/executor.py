@@ -56,22 +56,11 @@ class Morsel:
     ``index`` is the merge key (partition position for engine scans);
     ``payload`` is what the batch function receives; ``size_bytes``
     orders the morsel queue (largest first).
-
-    The last three fields exist for the process executor, which cannot
-    ship in-memory payloads: ``spec`` is a picklable
-    :class:`~repro.parallel.spec.TaskSpec` equivalent to the batch
-    function, ``partition`` the source :class:`TablePartition` whose
-    data workers re-attach from shared memory, and ``columns`` the
-    column union applied to the payload (None = unprojected).  Thread
-    and serial paths ignore all three and use ``payload`` directly.
     """
 
     index: int
     payload: Any
     size_bytes: int = 0
-    spec: Any = None
-    partition: Any = None
-    columns: Optional[tuple] = None
 
 
 class ScanExecutor:
@@ -204,9 +193,7 @@ class ScanExecutor:
         )
 
 
-def partition_morsels(
-    partitions, should_scan=None, columns=None, spec=None
-) -> List[Morsel]:
+def partition_morsels(partitions, should_scan=None, columns=None) -> List[Morsel]:
     """Morsels over a stored table's partitions (payload = the data).
 
     ``should_scan(index)`` filters (default: every partition); sizes come
@@ -214,36 +201,21 @@ def partition_morsels(
     heaviest scans first.  With ``columns``, columnar partitions carry a
     column-pruned :class:`ColumnarPartition` payload sized by its encoded
     bytes (the late-materialization fast path); row-major partitions fall
-    back to the full row payload.  ``spec`` (a picklable
-    :class:`~repro.parallel.spec.TaskSpec`) rides along so the process
-    executor can ship the kernel without the in-memory payload.
+    back to the full row payload.  Dirty partitions (staged delta writes)
+    always carry the base+delta view: the encoded image covers the base
+    only.
     """
     morsels: List[Morsel] = []
     for index, partition in enumerate(partitions):
         if should_scan is not None and not should_scan(index):
             continue
-        # Dirty partitions (staged delta writes) compute over the
-        # base+delta view and never ship spec/partition: the process
-        # pool's shared-memory segments hold only published base
-        # generations, so out-of-process compute would miss the delta.
         dirty = bool(getattr(partition, "dirty", False))
         columnar = getattr(partition, "columnar", None)
         if columns is not None and columnar is not None and not dirty:
             payload = columnar.project(columns)
             size = int(payload.encoded_bytes)
-            shipped_columns = tuple(columns)
         else:
             payload = partition.read_view() if dirty else partition.data
             size = int(partition.n_bytes)
-            shipped_columns = None
-        morsels.append(
-            Morsel(
-                index=index,
-                payload=payload,
-                size_bytes=size,
-                spec=None if dirty else spec,
-                partition=None if dirty else partition,
-                columns=shipped_columns,
-            )
-        )
+        morsels.append(Morsel(index=index, payload=payload, size_bytes=size))
     return morsels

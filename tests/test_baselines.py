@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import DBLEngine, ExactEngine, SamplingAQPEngine, SegmentStatsCache
+from repro.baselines.exact import batch_partial_fn
 from repro.baselines.sampling import uniform_sample_error_bound
 from repro.cluster import ClusterTopology, DistributedStore
+from repro.cluster.columnar import ColumnarPartition
 from repro.common.errors import ConfigurationError
 from repro.data import gaussian_mixture_table
 from repro.queries import AnalyticsQuery, Count, Mean, RangeSelection, Std, Sum
@@ -32,10 +34,30 @@ class TestExactEngine:
     def test_answers_match_ground_truth(self, world):
         store, table = world
         engine = ExactEngine(store)
-        for aggregate in (Count(), Mean("value"), Sum("value")):
-            query = range_query(20.0, 70.0, aggregate)
+        queries = [
+            range_query(20.0, 70.0, aggregate)
+            for aggregate in (Count(), Mean("value"), Sum("value"), Std("x1"))
+        ]
+        for query in queries:
             answer, _ = engine.execute(query)
             assert answer == pytest.approx(query.evaluate(table))
+        # Kernel identity: the shared batch pass (every job, or an active
+        # subset) equals each job's single-query map output, on row
+        # partitions and on their encoded columnar images alike.
+        batch = batch_partial_fn(
+            [q.selection for q in queries], [q.aggregate for q in queries]
+        )
+        for partition in store.table("data").partitions:
+            singles = [engine._job_fns(q)[0](partition.data) for q in queries]
+            encoded = ColumnarPartition.from_table(partition.data)
+            for payload in (partition.data, encoded):
+                assert repr(batch(payload)) == repr(singles)
+                assert repr(batch(payload, [3, 0])) == repr(
+                    [singles[3], singles[0]]
+                )
+                assert repr(engine._job_fns(queries[1])[0](payload)) == repr(
+                    singles[1]
+                )
 
     def test_cost_scans_whole_table(self, world):
         store, table = world

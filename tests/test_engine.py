@@ -14,6 +14,7 @@ from repro.engine import (
 )
 from repro.engine.bdas import agent_stack
 from repro.engine.mapreduce import estimate_payload_bytes, stable_hash
+from repro.parallel import ScanExecutor
 
 
 @pytest.fixture
@@ -154,6 +155,21 @@ class TestCoordinator:
         assert data.n_rows == 3
         expected = stored.partitions[0].data.take([0, 1])
         assert np.allclose(data["x0"][:2], expected["x0"])
+        # Kernel identity: the shared row-take pass gathers the union of
+        # every plan's rows once per partition, inline or on the pool,
+        # and each plan's slice is bitwise the direct take.
+        plans = [{0: [4, 1, 4], 2: [3]}, {0: [1, 7]}]
+        for executor in (None, ScanExecutor(2)):
+            engine = CoordinatorEngine(cluster, executor=executor)
+            fetched = engine.fetch_rows_many(stored, plans)
+            for plan, (rows, _) in zip(plans, fetched):
+                want = Table.concat(
+                    [stored.partitions[p].data.take(plan[p]) for p in sorted(plan)]
+                )
+                for name in want.column_names:
+                    assert rows[name].tobytes() == want[name].tobytes()
+            if executor is not None:
+                executor.close()
 
     def test_untouched_partitions_not_scanned(self, cluster):
         stored = cluster.table("t")

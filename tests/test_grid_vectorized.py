@@ -20,6 +20,7 @@ from repro.bigdataless.index import (
 )
 from repro.cluster import ClusterTopology, DistributedStore
 from repro.data import Table, gaussian_mixture_table
+from repro.parallel import ScanExecutor
 
 
 def legacy_fold(per_part_points, per_part_cells):
@@ -160,26 +161,33 @@ class TestGridIndexBitwise:
 
 class TestCanopyDirectoryBitwise:
     def test_directory_equals_legacy_per_row_loop(self):
-        store = build_world(n_rows=2500, seed=7)
-        cache = SegmentStatsCache(store, "data", ("x0", "x1"), cells_per_dim=8)
         from repro.common.accounting import CostMeter
 
-        cache._build_directory(CostMeter())
-        stored = store.table("data")
-        legacy = {}
-        for part_idx, partition in enumerate(stored.partitions):
-            mats = partition.data.matrix(cache.grid_columns)
-            scaled = (mats - cache._lows) / cache._span * cache.cells_per_dim
-            cells = np.clip(scaled.astype(int), 0, cache.cells_per_dim - 1)
-            for row_idx, key in enumerate(map(tuple, cells)):
-                legacy.setdefault(key, []).append((part_idx, row_idx))
-        assert list(cache._rows) == list(legacy)
-        for key, refs in legacy.items():
-            flat = [
-                (part_idx, int(row))
-                for part_idx, run in cache._rows[key]
-                for row in run
-            ]
-            assert flat == refs
-        n_refs = sum(len(refs) for refs in legacy.values())
-        assert cache.state_bytes() == n_refs * 12  # no stats cached yet
+        store = build_world(n_rows=2500, seed=7)
+        # ScanExecutor(2) runs the cell-assignment kernel on the pool;
+        # the directory must not depend on where it ran.
+        for executor in (None, ScanExecutor(2)):
+            cache = SegmentStatsCache(
+                store, "data", ("x0", "x1"), cells_per_dim=8, executor=executor
+            )
+            cache._build_directory(CostMeter())
+            if executor is not None:
+                executor.close()
+            stored = store.table("data")
+            legacy = {}
+            for part_idx, partition in enumerate(stored.partitions):
+                mats = partition.data.matrix(cache.grid_columns)
+                scaled = (mats - cache._lows) / cache._span * cache.cells_per_dim
+                cells = np.clip(scaled.astype(int), 0, cache.cells_per_dim - 1)
+                for row_idx, key in enumerate(map(tuple, cells)):
+                    legacy.setdefault(key, []).append((part_idx, row_idx))
+            assert list(cache._rows) == list(legacy)
+            for key, refs in legacy.items():
+                flat = [
+                    (part_idx, int(row))
+                    for part_idx, run in cache._rows[key]
+                    for row in run
+                ]
+                assert flat == refs
+            n_refs = sum(len(refs) for refs in legacy.values())
+            assert cache.state_bytes() == n_refs * 12  # no stats cached yet

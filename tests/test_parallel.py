@@ -286,6 +286,41 @@ class TestByteIdentity:
         assert any(k.startswith("parallel_") for k in stats_2)
         assert not any(k.startswith("parallel_") for k in stats_1)
 
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_session_metrics_agree_modulo_parallel(self, layout):
+        # Engine-level answers, cost reports and every non-parallel_*
+        # metric must not depend on whether the pool fans out.
+        def drive(workers):
+            session = SEASession(n_nodes=3, workers=workers, layout=layout)
+            obs = session.attach_observer(StackObserver())
+            table = gaussian_mixture_table(
+                1500, dims=("x0", "x1"), seed=4, name="data"
+            )
+            session.store.put_table(table, partitions_per_node=2)
+            selection = RangeSelection(
+                ("x0", "x1"), np.array([5.0, 5.0]), np.array([60.0, 70.0])
+            )
+            answers = []
+            for aggregate in (Count(), Mean("x0"), Median("x1")):
+                query = AnalyticsQuery("data", selection, aggregate)
+                answer, report = session.engine.execute(query)
+                answers.append((repr(answer), report.as_dict()))
+            snapshot = obs.metrics.as_dict()
+            metrics = {
+                key: value
+                for key, value in snapshot.items()
+                if not key.startswith("parallel_")
+            }
+            session.close()
+            return answers, metrics, snapshot
+
+        serial_answers, serial_metrics, serial_all = drive(1)
+        parallel_answers, parallel_metrics, parallel_all = drive(2)
+        assert serial_answers == parallel_answers
+        assert serial_metrics == parallel_metrics
+        assert not any(k.startswith("parallel_") for k in serial_all)
+        assert any(k.startswith("parallel_") for k in parallel_all)
+
 
 # --------------------------------------------------------------------------
 # Thread-safety satellites
